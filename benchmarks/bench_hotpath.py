@@ -14,7 +14,9 @@ against the preserved pre-refactor baseline
    acceptance target applies here.
 2. **decode end-to-end** — a full ``decode_step(capture_hidden=True)``
    loop through the real transformer, pre- vs post-refactor (the naive
-   side also restores the original einsum attention), so the report
+   side also restores the original einsum attention — the prefill path
+   before the head-major BLAS kernel, kept in
+   :mod:`repro.models.reference` as the oracle), so the report
    stays honest about what the whole step gains once the irreducible
    model compute is included.
 3. **restore** — latency of rebuilding a KV cache from hidden states:

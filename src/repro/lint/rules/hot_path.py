@@ -11,6 +11,10 @@ inside every function listed in :mod:`repro.lint.hotpaths`:
 - ``.copy()`` — a fresh allocation per call of a per-token function.
 - ``np.ascontiguousarray`` — a hidden conditional copy; hot paths must
   arrange layout so it is never needed.
+- ``np.einsum`` — numpy runs the contraction as unblocked C loops with
+  no BLAS (and fresh temporaries); the original prefill attention spent
+  most of every chunk there.  Hot paths use head-major ``np.matmul`` over
+  transposed views with ``out=`` buffers instead.
 - Appending to a locally created list inside a loop — the
   accumulate-then-concatenate pattern (list growth is O(n) *and* the
   parts get copied again downstream).
@@ -28,7 +32,7 @@ from repro.lint.findings import Finding
 from repro.lint.framework import ModuleInfo, Rule
 from repro.lint.hotpaths import HOT_PATHS
 
-_BANNED_NP_CALLS = {"concatenate", "vstack", "hstack", "ascontiguousarray"}
+_BANNED_NP_CALLS = {"concatenate", "vstack", "hstack", "ascontiguousarray", "einsum"}
 _NP_MODULE_NAMES = {"np", "numpy"}
 
 
@@ -53,7 +57,7 @@ class HotPathRule(Rule):
     name = "hot-path"
     description = (
         "functions in repro/lint/hotpaths.py may not concatenate/copy/"
-        "ascontiguousarray or grow lists in loops"
+        "ascontiguousarray/einsum or grow lists in loops"
     )
 
     def __init__(self, manifest: dict[str, frozenset[str]] | None = None) -> None:

@@ -4,6 +4,16 @@ Implements the attention equations of §2.1: per-token Q/K/V projections,
 softmaxed scaled dot-product over all cached positions, weighted average of
 values, and the output projection.  Supports GQA by repeating KV heads,
 which the paper lists as an extension (§7); all paper experiments use MHA.
+
+Both kernels are head-major BLAS: the token-major ``(n, heads, head_dim)``
+cache layout is read through transposed views, so per-head score and value
+products are batched ``np.matmul`` calls whose strides map straight onto
+BLAS leading dimensions — no transposition copies, no ``np.einsum`` loops.
+Masks touch only what some query cannot see (the causal band of a prefill
+block, the padded tail of a batched decode row), and the softmax runs in
+place on the one float32 scores buffer.  This matters beyond speed: the
+per-layer prefill cost is the recomputation baseline's ``C_token`` (§4.1.2),
+so it should measure the model's arithmetic, not an unblocked contraction.
 """
 
 from __future__ import annotations
@@ -12,7 +22,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
-from repro.models.tensor_ops import causal_mask, softmax
 
 
 def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -47,7 +56,25 @@ def scaled_dot_product_attention(
     values: np.ndarray,
     query_offset: int,
 ) -> np.ndarray:
-    """Causal attention over cached keys/values.
+    """Causal attention over cached keys/values, as head-major BLAS GEMMs.
+
+    One kernel serves every caller — a prefill block, a chunked-prefill
+    segment, a recompute restore and a single-token decode step:
+
+    - scores come from one batched ``np.matmul`` over head-major
+      *transposed views* of the token-major inputs (strided batch slices
+      map onto BLAS leading dimensions, so nothing is transposed by
+      copy) into a single ``(heads, n_q, n_k)`` float32 buffer;
+    - only the causal band is masked: keys before ``query_offset`` are
+      visible to every query, so just columns ``[query_offset, n_k)``
+      get the ``triu(k=1)`` pattern (pinned to ``-1e30``, whose softmax
+      weight underflows to an exact ``0.0``);
+    - the softmax runs in place on that buffer (max, subtract, exp,
+      sum, divide), and the value GEMM writes straight into the
+      token-major output through a transposed ``out=`` view.
+
+    A decode step (``n_q == 1`` at ``query_offset == n_k - 1``) has an
+    empty band and takes exactly the same code path.
 
     Args:
         queries: ``(n_q, n_heads, head_dim)`` for the new tokens.
@@ -58,7 +85,7 @@ def scaled_dot_product_attention(
             ``i`` may attend to key positions ``<= query_offset + i``.
 
     Returns:
-        ``(n_q, n_heads, head_dim)`` attention output.
+        ``(n_q, n_heads, head_dim)`` float32 attention output.
     """
     n_q, n_heads, head_dim = queries.shape
     n_k = keys.shape[0]
@@ -66,28 +93,26 @@ def scaled_dot_product_attention(
         raise ConfigError("keys and values must share a shape")
     if keys.shape[1] != n_heads:
         raise ConfigError(f"key heads {keys.shape[1]} mismatch query heads {n_heads}")
+    if query_offset < 0:
+        raise ConfigError(f"query_offset must be non-negative, got {query_offset}")
     scale = 1.0 / np.sqrt(head_dim)
-    if n_q == 1 and query_offset == n_k - 1:
-        # Decode fast path: the single query may attend to every cached
-        # position, so no mask is needed, and head-major BLAS matmuls over
-        # transposed views replace the einsum contraction.  Strided batch
-        # slices map directly onto BLAS leading dimensions, so this reads
-        # the token-major cache without any transposition copy.
-        q0 = queries[0]  # (heads, head_dim)
-        scores = np.matmul(keys.transpose(1, 0, 2), q0[:, :, None])[:, :, 0]
-        scores *= scale  # (heads, n_k)
-        shifted = scores - np.max(scores, axis=-1, keepdims=True)
-        np.exp(shifted, out=shifted)
-        probs = shifted / np.sum(shifted, axis=-1, keepdims=True)
-        out = np.matmul(probs[:, None, :], values.transpose(1, 0, 2))
-        return out.transpose(1, 0, 2).astype(np.float32)
-    # (heads, n_q, n_k)
-    scores = np.einsum("qhd,khd->hqk", queries, keys) * scale
-    mask = causal_mask(n_q, n_k, query_offset)[None, :, :]
-    scores = np.where(mask, scores, np.float32(-1e30))
-    probs = softmax(scores, axis=-1)
-    out = np.einsum("hqk,khd->qhd", probs, values)
-    return out.astype(np.float32)
+    scores = np.empty((n_heads, n_q, n_k), dtype=np.float32)
+    np.matmul(queries.transpose(1, 0, 2), keys.transpose(1, 2, 0), out=scores)
+    scores *= scale
+    band = n_k - query_offset
+    if band > 1:
+        # Query i sees band column j only when j <= i; keys left of the
+        # band are visible to every query and need no mask at all.
+        future = np.triu(np.ones((n_q, band), dtype=bool), k=1)
+        np.copyto(scores[:, :, query_offset:], np.float32(-1e30), where=future)
+    peak = np.max(scores, axis=-1, keepdims=True)
+    np.subtract(scores, peak, out=scores)
+    np.exp(scores, out=scores)
+    np.sum(scores, axis=-1, keepdims=True, out=peak)
+    np.divide(scores, peak, out=scores)
+    out = np.empty((n_q, n_heads, head_dim), dtype=np.float32)
+    np.matmul(scores, values.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    return out
 
 
 def batched_decode_attention(
@@ -98,7 +123,7 @@ def batched_decode_attention(
 ) -> np.ndarray:
     """Single-token causal attention for a batch of sessions at once.
 
-    The multi-session generalization of the decode fast path in
+    The multi-session generalization of the single-token (decode) case of
     :func:`scaled_dot_product_attention`: every session contributes one
     query token that may attend to its whole cached history, so no
     causal mask is needed — only a *length* mask, because the sessions
@@ -143,7 +168,7 @@ def batched_decode_attention(
     # (B, heads, max_len, head_dim) @ (B, heads, head_dim, 1): per-session,
     # per-head matvecs over the token-major stacked views, no copies.
     # Every elementwise stage below runs in place on the scores buffer —
-    # same operations in the same order as the per-session fast path, so
+    # same operations in the same order as the per-session kernel, so
     # each row's arithmetic is unchanged; only the temporaries disappear.
     scores4 = np.empty((n_batch, n_heads, max_len, 1), dtype=np.float32)
     np.matmul(keys.transpose(0, 2, 1, 3), queries[:, :, :, None], out=scores4)

@@ -540,9 +540,11 @@ class StackedKVCacheBlock:
         numpy stand-in for remapping KV pages into a contiguous batch
         region) and the cache is repointed to block-backed views.  A
         cache already adopted by another block is migrated — the old
-        block's slot is released.  ``reserve_tokens`` presizes the
-        shared capacity (callers that know the decode budget avoid all
-        doubling growth during the batch's lifetime).
+        block's slot is released.  The shared capacity is presized to
+        the larger of ``reserve_tokens`` and every cache's own capacity
+        (which covers its live length), so a reservation made before
+        adoption (e.g. a request's whole ``total_context``) survives the
+        re-stack and the batch's first appends do not regrow the block.
         """
         caches = list(caches)
         if not caches:
@@ -554,9 +556,7 @@ class StackedKVCacheBlock:
             if cache.config != config:
                 raise ConfigError("stacked caches must share one model config")
         block = cls(config, len(caches))
-        need = max(
-            [reserve_tokens] + [max(c._lens, default=0) for c in caches]
-        )
+        need = max([reserve_tokens] + [c.capacity for c in caches])
         block._grow_to(grown_capacity(0, need) if need else 0)
         for slot, cache in enumerate(caches):
             live = max(cache._lens, default=0)

@@ -26,11 +26,15 @@ def naive_scaled_dot_product_attention(
     values: np.ndarray,
     query_offset: int,
 ) -> np.ndarray:
-    """The original einsum attention without the decode fast path.
+    """The original einsum attention, kept as the oracle.
 
-    Builds the causal mask and runs the full einsum contraction even for
-    single-token decode steps.  ``bench_hotpath.py`` patches this into the
-    transformer to reproduce the pre-refactor decode cost.
+    This was the prefill path before the head-major BLAS kernel in
+    :func:`repro.models.attention.scaled_dot_product_attention` replaced
+    it: a full ``(heads, n_q, n_k)`` causal mask and two ``np.einsum``
+    contractions (unblocked C loops, no BLAS), used even for single-token
+    decode steps.  The kernel property tests compare against it, and
+    ``bench_hotpath.py`` patches it into the transformer to reproduce the
+    pre-refactor decode cost.
     """
     n_q, n_heads, head_dim = queries.shape
     n_k = keys.shape[0]

@@ -771,8 +771,9 @@ class Transformer:
         over the concatenated ``sum(len(seg))`` rows — while attention runs
         per segment against its own cache, so a single model call replaces
         the serial per-session prefill loop ``chat_rounds`` used to run.
-        Single-token segments take the same decode attention fast path as a
-        serial ``forward``.
+        Every segment — a single decode token or a prefill chunk — runs the
+        same :func:`scaled_dot_product_attention` kernel as a serial
+        ``forward``.
 
         Per-segment hidden states land in ``captures[s]`` exactly as a
         serial ``forward(seg, caches[s], capture=captures[s])`` would write

@@ -1,6 +1,7 @@
-"""Fixture: hot-path allocations the rule must reject (5 seeded).
+"""Fixture: hot-path allocations the rule must reject (6 seeded).
 
-The test injects a manifest listing ``step`` and ``Decoder.advance`` (and
+The test injects a manifest listing ``step``, ``attend`` and
+``Decoder.advance`` (and
 a ``Decoder.gone`` that does not exist, to exercise the staleness guard).
 """
 
@@ -15,6 +16,11 @@ def step(xs, out):
     for x in xs:
         parts.append(x)
     return joined, dup, flat, parts
+
+
+def attend(queries, keys):
+    # The unblocked contraction the BLAS attention kernel replaced.
+    return np.einsum("qhd,khd->hqk", queries, keys)
 
 
 class Decoder:

@@ -3,7 +3,9 @@
 from repro.lint import HotPathRule
 
 BAD_MANIFEST = {
-    "fixtures/hot_bad.py": frozenset({"step", "Decoder.advance", "Decoder.gone"})
+    "fixtures/hot_bad.py": frozenset(
+        {"step", "attend", "Decoder.advance", "Decoder.gone"}
+    )
 }
 GOOD_MANIFEST = {"fixtures/hot_good.py": frozenset({"step", "Decoder.advance"})}
 
@@ -17,6 +19,15 @@ def test_bad_fixture_reports_every_allocation(run_rules):
     assert any("np.ascontiguousarray" in m for m in messages)
     assert any("np.vstack" in m for m in messages)
     assert any("grows list 'parts' inside a loop" in m for m in messages)
+
+
+def test_einsum_contraction_is_flagged(run_rules):
+    # np.einsum runs as unblocked C loops with no BLAS: the prefill
+    # attention regression the head-major matmul kernel removed.
+    findings = run_rules("hot_bad.py", [HotPathRule(manifest=BAD_MANIFEST)])
+    assert [f.message for f in findings if "np.einsum" in f.message] == [
+        "attend is a hot-path function but calls np.einsum — an allocation per call"
+    ]
 
 
 def test_stale_manifest_entry_is_flagged(run_rules):

@@ -263,6 +263,30 @@ class TestStackedBlock:
             k, _ = cache.get(0)
             assert np.shares_memory(k, block.stacked_kv(0, 40)[0])
 
+    def test_adopt_keeps_each_cache_reservation(self):
+        """Re-stacking caches reserved to N tokens presizes the block to
+        N: appending up to N tokens never regrows it, so earlier
+        stacked views keep sharing the block's memory."""
+        model = get_model("tiny-llama")
+        config = model.config
+        _, (caches,) = prefilled_caches(model, [3, 7], seed=9)
+        reserved = 40
+        caches[0].reserve(reserved)
+        block = StackedKVCacheBlock.adopt(caches)
+        capacity = block.capacity
+        assert capacity >= reserved
+        early_k, early_v = block.stacked_kv(0, 7)
+        rng = np.random.default_rng(10)
+        rows = rng.normal(size=(2, config.n_kv_heads, config.head_dim)).astype(np.float32)
+        for _ in range(reserved - 7):
+            for layer in range(config.n_layers):
+                block.append_token(layer, rows, rows)
+        assert [len(c) for c in caches] == [reserved - 4, reserved]
+        assert block.capacity == capacity
+        k, v = block.stacked_kv(0, reserved)
+        assert np.shares_memory(early_k, k)
+        assert np.shares_memory(early_v, v)
+
     def test_per_cache_append_goes_through_block(self):
         """A plain append on an adopted cache writes into block storage
         and block growth is triggered transparently."""
