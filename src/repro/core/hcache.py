@@ -25,6 +25,8 @@ from repro.core.scheduler import BubbleFreeScheduler, ScheduleDecision
 from repro.errors import ConfigError, RecoveryError, RestorationError, StateError
 from repro.models.kv_cache import KVCache
 from repro.models.transformer import ProjectionStats, Transformer
+from repro.runtime.drain import InlinePool, StageTrace, drain
+from repro.runtime.sharded import ShardedRestoreExecutor, partition_layers
 from repro.simulator.hardware import InterconnectSpec, Platform
 from repro.simulator.multi_gpu import allgather_time
 from repro.simulator.pipeline import (
@@ -39,11 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     # BlockStateStore is typing-only to break the import cycle
     # core.hcache -> repro.state -> repro.cache -> repro.baselines ->
     # repro.core; the store arrives fully constructed by the caller.
-    # The runtime executors are typing-only to keep the core layer free
-    # of a hard dependency on repro.runtime (it is imported lazily where
-    # a sharded restore actually needs it).
     from repro.runtime.executor import RestoreExecutor
-    from repro.runtime.sharded import ShardedRestoreExecutor
     from repro.state import BlockStateStore
 
 
@@ -92,8 +90,8 @@ class RestoreBreakdown:
     shared_tokens: int = 0
     #: Measured wall time projecting/installing pool-resident blocks.
     pool_s: float = 0.0
-    #: Measured submit-side executor overhead: staging-slot acquisition
-    #: plus pool handoff per granule (threaded/sharded executors only).
+    #: Measured submit-side drain overhead: staging-slot acquisition
+    #: plus pool handoff per granule.
     #: Together with the exposed ``read_s`` stall it itemizes the gap
     #: between wall clock and the modelled makespan.
     dispatch_s: float = 0.0
@@ -424,16 +422,18 @@ class HCacheEngine:
         (:meth:`Transformer.project_kv_chunk`) straight into the cache's
         backing buffers; KV layers stream the same way and install chunk
         by chunk; a RECOMPUTE prefix is replayed from the retained
-        tokens.  The loop is double-buffered: the next granule's device
-        read is issued before the pending granule is projected, so in the
-        modelled timeline layer *k*'s projection overlaps layer *k+1*'s
-        read — compute starts at IO start, which is exactly what the
-        serving simulator's ``request_io_start`` assumes.
+        tokens.  Every flavor below streams through the one granule loop,
+        :func:`repro.runtime.drain.drain`, consuming granules in plan
+        order; in the modelled timeline layer *k*'s projection overlaps
+        layer *k+1*'s read — compute starts at IO start, which is exactly
+        what the serving simulator's ``request_io_start`` assumes.
 
-        With ``executor`` (a :class:`repro.runtime.RestoreExecutor`), the
+        By default the reads run on this thread, each just before its
+        granule is consumed, through a 2-deep staging ring.  With
+        ``executor`` (a :class:`repro.runtime.RestoreExecutor`), the
         granule reads actually run on background IO workers while this
         thread projects, making the overlap real wall clock instead of
-        only modelled; the default stays single-threaded.  Threading
+        only modelled.  Threading
         rules: all projection compute runs on the calling thread in the
         single-threaded granule order, workers only fill staging slots
         they own, and concurrent ``restore`` calls are safe for
@@ -453,7 +453,7 @@ class HCacheEngine:
         ``(int, 1)``): contiguous layer stages drain concurrently, and
         with ``tensor > 1`` each granule's merge is split into
         GQA-group-aligned KV-head ranges
-        (:meth:`Transformer.project_kv_chunk_sharded` /
+        (:meth:`Transformer.project_kv_chunk` with ``head_ranges`` /
         :meth:`KVCache.install_packed_head_rows`) — the restored bytes
         stay bit-identical to the single-shard path for every shard
         shape.  The shape resolves as follows: an explicit ``shards``
@@ -491,8 +491,6 @@ class HCacheEngine:
         call created the executor and must close it (a no-op for pools it
         merely borrowed — ``close`` only shuts down owned pools).
         """
-        from repro.runtime.sharded import ShardedRestoreExecutor
-
         if shards is None:
             if isinstance(executor, ShardedRestoreExecutor):
                 return executor, False
@@ -524,7 +522,6 @@ class HCacheEngine:
         timed = stats is not None
         if timed:
             stats.n_tokens = n_tokens
-        sharded = shard_exec is not None
         tensor_shards = shard_exec.tensor_shards if shard_exec is not None else 1
         # Resolve the head partition up front: an illegal tensor split
         # (more shards than KV heads would cut a GQA group) must raise
@@ -536,9 +533,6 @@ class HCacheEngine:
         )
         if timed and shard_exec is not None:
             stats.shard_shape = shard_exec.shard_shape
-        interconnect = (
-            self.platform.interconnect if self.platform is not None else InterconnectSpec()
-        )
         sharded_makespan_s = 0.0
         if self.scheme.n_recompute:
             tokens = np.array(self.storage.token_log(context_id)[:n_tokens])
@@ -556,6 +550,34 @@ class HCacheEngine:
             stats.shared_tokens = shared
         io_times: list[float] = []
         compute_times: list[float] = []
+        # The three restore flavors differ only in what the drain gets: a
+        # sharded restore drains one stage per pipeline shard, a threaded
+        # one borrows the executor's pool, and the default reads inline.
+        runner = shard_exec if shard_exec is not None else executor
+        pool = runner.pool if runner is not None else InlinePool()
+        window = runner.inflight if runner is not None else 1
+        n_stages = shard_exec.pipeline_shards if shard_exec is not None else 1
+
+        def stream(layers, kind, consume, gather_bytes_per_row) -> None:
+            """Drain ``layers``' stored rows past the shared prefix."""
+            nonlocal sharded_makespan_s
+            plans = [
+                self.storage.granule_plan(
+                    context_id, stage, kind, self.stream_granule_chunks, shared
+                )
+                for stage in partition_layers(layers, n_stages)
+            ]
+            traces: list[StageTrace] | None = (
+                [] if timed and shard_exec is not None else None
+            )
+            drain(
+                self.storage, context_id, plans, self.stream_granule_chunks,
+                consume, pool, window, stats, io_times, compute_times, traces,
+            )
+            if traces:
+                sharded_makespan_s += self._sharded_makespan(
+                    traces, tensor_shards, gather_bytes_per_row
+                )
         if hidden_layers:
             granule_tokens = min(
                 n_tokens,
@@ -600,49 +622,25 @@ class HCacheEngine:
 
             def project_hidden(chunk) -> None:
                 k_view, v_view = views[chunk.layer]
-                if head_ranges is not None:
-                    # Tensor-sharded merge: full-width norm+GEMMs (the
-                    # GEMM split is not bit-stable), head-sliced RoPE and
-                    # installs — one call per granule covering every
-                    # rank's disjoint range.
-                    self.transformer.project_kv_chunk_sharded(
-                        chunk.layer,
-                        chunk.data,
-                        chunk.start,
-                        k_view[chunk.start : chunk.stop],
-                        v_view[chunk.start : chunk.stop],
-                        workspace,
-                        head_ranges,
-                        proj_stats,
-                    )
-                else:
-                    self.transformer.project_kv_chunk(
-                        chunk.layer,
-                        chunk.data,
-                        chunk.start,
-                        k_view[chunk.start : chunk.stop],
-                        v_view[chunk.start : chunk.stop],
-                        workspace,
-                        proj_stats,
-                    )
+                # With tensor shards: full-width norm+GEMMs, head-sliced
+                # RoPE and installs covering every rank's disjoint range.
+                self.transformer.project_kv_chunk(
+                    chunk.layer,
+                    chunk.data,
+                    chunk.start,
+                    k_view[chunk.start : chunk.stop],
+                    v_view[chunk.start : chunk.stop],
+                    workspace,
+                    proj_stats,
+                    head_ranges,
+                )
                 if suffix_rows is not None:
                     suffix_rows[(chunk.layer, "hidden")][
                         chunk.start - shared : chunk.stop - shared
                     ] = chunk.data
 
             if shared < n_tokens:
-                if shard_exec is not None:
-                    sharded_makespan_s += self._drain_sharded(
-                        shard_exec, context_id, hidden_layers, "hidden",
-                        project_hidden, stats, io_times, compute_times,
-                        shared, interconnect,
-                        gather_bytes_per_row=4 * config.hidden_size,
-                    )
-                else:
-                    self._drain_stream(
-                        context_id, hidden_layers, "hidden", project_hidden,
-                        stats, io_times, compute_times, executor, shared,
-                    )
+                stream(hidden_layers, "hidden", project_hidden, 4 * config.hidden_size)
         if kv_layers:
             for layer in kv_layers:
                 cache.install_view(layer, n_tokens)
@@ -681,17 +679,7 @@ class HCacheEngine:
                     ] = chunk.data
 
             if shared < n_tokens:
-                if shard_exec is not None:
-                    sharded_makespan_s += self._drain_sharded(
-                        shard_exec, context_id, kv_layers, "kv",
-                        install_kv, stats, io_times, compute_times,
-                        shared, interconnect, gather_bytes_per_row=0,
-                    )
-                else:
-                    self._drain_stream(
-                        context_id, kv_layers, "kv", install_kv,
-                        stats, io_times, compute_times, executor, shared,
-                    )
+                stream(kv_layers, "kv", install_kv, 0)
         if suffix_rows is not None:
             # Close the admission gap: the suffix rows just streamed from
             # storage are republished into the pool, so the session is
@@ -719,7 +707,7 @@ class HCacheEngine:
             pipeline_io = [0.0] + io_times
             pipeline_compute = [stats.recompute_s + stats.pool_s] + compute_times
             stats.modelled_pipelined_s = pipelined_makespan(pipeline_io, pipeline_compute)
-            if sharded:
+            if shard_exec is not None:
                 # The sequential hidden/kv drains each contribute their
                 # sharded makespan; the recompute/pool prefix precedes both.
                 stats.modelled_sharded_s = (
@@ -813,46 +801,26 @@ class HCacheEngine:
             filled += take
             position += take
 
-    def _drain_sharded(
+    def _sharded_makespan(
         self,
-        shard_exec: "ShardedRestoreExecutor",
-        context_id: str,
-        layers: list[int],
-        kind: str,
-        consume,
-        stats: RestoreBreakdown | None,
-        io_times: list[float],
-        compute_times: list[float],
-        start_tokens: int,
-        interconnect: InterconnectSpec,
+        traces: list[StageTrace],
+        tensor_shards: int,
         gather_bytes_per_row: int,
     ) -> float:
-        """Sharded counterpart of :meth:`_drain_stream`.
+        """Hybrid sharded makespan of one drain's per-stage traces.
 
-        Partitions ``layers`` into the executor's pipeline stages and
-        drains them concurrently; returns this drain's hybrid sharded
-        makespan (0.0 when untimed): per stage, the §4.1 two-stream
-        recurrence over its measured granule trace with reads priced at
-        the tensor ranks' aggregated bandwidth plus a per-granule
-        all-gather of ``gather_bytes_per_row`` bytes per row (hidden
-        granules must be reassembled across ranks before projection; KV
-        installs pass 0 — nothing to gather): stage IO streams advance
-        concurrently, while every granule merges through the single
-        calling-thread compute stream.
+        Per stage, the §4.1 two-stream recurrence over its measured
+        granule trace with reads priced at the tensor ranks' aggregated
+        bandwidth plus a per-granule all-gather of
+        ``gather_bytes_per_row`` bytes per row (hidden granules must be
+        reassembled across ranks before projection; KV installs pass 0 —
+        nothing to gather): stage IO streams advance concurrently, while
+        every granule merges through the single calling-thread compute
+        stream.
         """
-        from repro.runtime.sharded import StageTrace, partition_layers
-
-        stage_layers = partition_layers(layers, shard_exec.pipeline_shards)
-        timed = stats is not None
-        traces: list[StageTrace] | None = [] if timed else None
-        shard_exec.drain_sharded(
-            self.storage, context_id, stage_layers, kind,
-            self.stream_granule_chunks, consume,
-            stats, io_times, compute_times, start_tokens, traces,
+        interconnect = (
+            self.platform.interconnect if self.platform is not None else InterconnectSpec()
         )
-        if not traces:
-            return 0.0
-        tensor_shards = shard_exec.tensor_shards
         timelines = [
             ShardedStageTimeline(
                 stage=trace.stage,
@@ -870,66 +838,6 @@ class HCacheEngine:
             for trace in traces
         ]
         return sharded_restoration_makespan(timelines, tensor_shards)
-
-    def _drain_stream(
-        self,
-        context_id: str,
-        layers: list[int],
-        kind: str,
-        consume,
-        stats: RestoreBreakdown | None,
-        io_times: list[float],
-        compute_times: list[float],
-        executor: "RestoreExecutor | None" = None,
-        start_tokens: int = 0,
-    ) -> None:
-        """Double-buffered drain of a chunk stream.
-
-        ``start_tokens`` (chunk-aligned) skips each layer's pool-served
-        shared-prefix rows.
-
-        The staging ring holds two granules, so the pending granule's
-        data stays valid while the next granule's read is issued; only
-        then is the pending granule consumed (projected or installed).
-        Wall-clock read/compute per granule is recorded when ``stats``
-        is given, along with the modelled device seconds that feed the
-        pipelined-makespan accounting.
-
-        With an ``executor`` the drain is delegated to its IO worker
-        pool: same granule order, same consume calls on this thread, but
-        the reads run in the background.
-        """
-        if executor is not None:
-            executor.drain(
-                self.storage, context_id, layers, kind,
-                self.stream_granule_chunks, consume,
-                stats, io_times, compute_times, start_tokens,
-            )
-            return
-        timed = stats is not None
-        ring = self.storage.staging_ring(
-            context_id, kind, depth=2, granule_chunks=self.stream_granule_chunks
-        )
-        stream = self.storage.stream_layers(context_id, layers, kind, ring, start_tokens)
-
-        def advance():
-            t0 = time.perf_counter() if timed else 0.0
-            chunk = next(stream, None)
-            if timed and chunk is not None:
-                stats.read_s += time.perf_counter() - t0
-                stats.granules += 1
-                stats.device_reads += chunk.device_reads
-                io_times.append(chunk.io_seconds)
-            return chunk
-
-        pending = advance()
-        while pending is not None:
-            upcoming = advance()
-            t0 = time.perf_counter() if timed else 0.0
-            consume(pending)
-            if timed:
-                compute_times.append(time.perf_counter() - t0)
-            pending = upcoming
 
     # ------------------------------------------------------------------
     # timing

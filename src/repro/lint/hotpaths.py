@@ -27,13 +27,12 @@ HOT_PATHS: dict[str, frozenset[str]] = {
             "batched_decode_attention",
         }
     ),
-    # Batched decode iteration + the fused restore projections (PR 2/PR 4;
-    # the sharded variant is PR 9's per-granule merge path).
+    # Batched decode iteration + the fused restore projection (its
+    # head_ranges merge is the sharded restore's per-granule path).
     "repro/models/transformer.py": frozenset(
         {
             "Transformer.decode_batch",
             "Transformer.project_kv_chunk",
-            "Transformer.project_kv_chunk_sharded",
         }
     ),
     # Per-step cache writes: O(1) amortized appends, zero-copy views.
@@ -94,6 +93,9 @@ HOT_PATHS: dict[str, frozenset[str]] = {
     # keeps the dispatch half of the executor-overhead budget flat.
     "repro/core/gqa.py": frozenset({"partition_kv_heads"}),
     "repro/runtime/sharded.py": frozenset({"partition_layers"}),
+    # The one granule loop every restore drains through: per granule it
+    # only acquires a staging slot, submits a read and consumes in place.
+    "repro/runtime/drain.py": frozenset({"drain"}),
     # Storage granule loop: chunk reads land straight in staging slots.
     "repro/storage/device.py": frozenset({"StorageDevice.read_into"}),
     "repro/storage/manager.py": frozenset(

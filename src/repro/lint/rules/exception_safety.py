@@ -6,8 +6,8 @@ violated by a hurried ``try/except`` during a refactor:
 - **No bare ``except:`` and no ``except BaseException:``** — a handler
   that can swallow ``KeyboardInterrupt``/``SystemExit`` (or any fault it
   did not anticipate) turns crash-consistency bugs into silent state
-  corruption.  The one sanctioned pattern is the restore executor's
-  drain containment, which *settles in-flight reads and re-raises*; that
+  corruption.  The one sanctioned pattern is the restore drain's
+  containment, which *settles in-flight reads and re-raises*; that
   site carries an explicit waiver naming the reason, and any new site
   must do the same.
 
@@ -91,7 +91,7 @@ class ExceptionSafetyRule(Rule):
                     "`except BaseException:` outside a sanctioned drain path — "
                     "only containment code that settles in-flight work and "
                     "re-raises may do this, with a waiver naming the reason",
-                    hint="see RestoreExecutor.drain for the sanctioned pattern",
+                    hint="see repro.runtime.drain.drain for the sanctioned pattern",
                 )
             ]
         return []

@@ -15,9 +15,9 @@ the test suite asserts.
 
 Hot-path layout: capture accumulates into a :class:`HiddenCapture`
 doubling buffer (O(1) per decode step instead of an O(history)
-concatenate), and restoration projects **all layers at once** through a
-batched norm + GEMM pipeline whose outputs are donated to the KV cache
-without a copy (:meth:`Transformer.project_kv_all`).
+concatenate), and restoration runs one fused norm + GEMM + RoPE kernel
+per chunk straight into the KV cache's backing storage
+(:meth:`Transformer.project_kv_chunk`).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class ProjectionStats:
     norm_s: float = 0.0
     gemm_s: float = 0.0
     rope_s: float = 0.0
-    #: Head-range slice copies of the sharded projection (the in-process
+    #: Head-range slice copies of a sharded projection (the in-process
     #: stand-in for the tensor dimension's all-gather); zero on the
     #: single-shard path.
     merge_s: float = 0.0
@@ -107,8 +107,8 @@ class RestoreWorkspace:
     GEMM destinations (:attr:`k_tmp`/:attr:`v_tmp`), because the sharded
     projection computes each GEMM once at full width and then merges
     per-head-range slices — a head-sliced GEMM would change the BLAS
-    blocking and with it the last-ulp bits (see
-    :meth:`Transformer.project_kv_chunk_sharded`).
+    blocking and with it the last-ulp bits (see the ``head_ranges``
+    argument of :meth:`Transformer.project_kv_chunk`).
     """
 
     def __init__(
@@ -235,122 +235,6 @@ class Transformer:
             self._projection_stack_cache = (norm_w, wk_all, wv_all)
         return self._projection_stack_cache
 
-    def project_kv_all(
-        self,
-        hidden_all: np.ndarray | list[np.ndarray],
-        positions: np.ndarray,
-        layers: list[int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched restoration operator over many layers at once.
-
-        Args:
-            hidden_all: ``(n_sel, n_tokens, hidden)`` residual inputs, one
-                row-block per selected layer — a stacked array or a list
-                of per-layer ``(n_tokens, hidden)`` arrays (consumed
-                without stacking them first).
-            positions: Absolute positions, shape ``(n_tokens,)``.
-            layers: Layer indices matching ``hidden_all``'s first axis;
-                ``None`` means all layers in order.
-
-        Returns:
-            ``(K, V)`` of shape ``(n_sel, n_tokens, n_kv_heads, head_dim)``
-            — fresh C-contiguous arrays a :class:`KVCache` can adopt
-            without copying.  Every GEMM writes straight into the
-            preallocated output (becoming cache storage via
-            :meth:`KVCache.install_all`), RoPE terms are computed once and
-            shared across layers, and the per-layer op granularity keeps
-            working sets cache-resident — the results are bit-identical to
-            per-layer :meth:`project_kv`.
-        """
-        blocks, sel, n_tokens = self._prepare_projection(hidden_all, layers)
-        row_shape = (n_tokens, self.config.n_kv_heads, self.config.head_dim)
-        k = np.empty((len(blocks), *row_shape), dtype=np.float32)
-        v = np.empty_like(k)
-        self._project_blocks(blocks, sel, positions, lambda i: (k[i], v[i]))
-        return k, v
-
-    def project_kv_into(
-        self,
-        hidden_all: np.ndarray | list[np.ndarray],
-        positions: np.ndarray,
-        cache: KVCache,
-        layers: list[int] | None = None,
-    ) -> None:
-        """Like :meth:`project_kv_all`, but projecting straight into
-        ``cache``'s backing storage via :meth:`KVCache.install_view`.
-
-        The cache keeps whatever capacity it already has (callers reserve
-        slack for upcoming decode appends before restoring), so no
-        adopt-then-grow reallocation ever copies the restored history.
-        """
-        blocks, sel, n_tokens = self._prepare_projection(hidden_all, layers)
-        views = [cache.install_view(layer, n_tokens) for layer in sel]
-        self._project_blocks(blocks, sel, positions, lambda i: views[i])
-
-    def _prepare_projection(
-        self,
-        hidden_all: np.ndarray | list[np.ndarray],
-        layers: list[int] | None,
-    ):
-        """Validate projection inputs and resolve the layer selection."""
-        if isinstance(hidden_all, np.ndarray):
-            hidden_all = np.asarray(hidden_all, dtype=np.float32)
-            if hidden_all.ndim != 3:
-                raise ConfigError(
-                    f"hidden_all must be (layers, n, {self.config.hidden_size}), "
-                    f"got {hidden_all.shape}"
-                )
-            blocks: list[np.ndarray] | np.ndarray = hidden_all
-        else:
-            blocks = [np.asarray(h, dtype=np.float32) for h in hidden_all]
-            for block in blocks:
-                if block.ndim != 2 or block.shape != blocks[0].shape:
-                    raise ConfigError("all layers must cover the same tokens")
-        if len(blocks) == 0 or blocks[0].shape[-1] != self.config.hidden_size:
-            raise ConfigError(
-                f"hidden_all must be (layers, n, {self.config.hidden_size}) blocks"
-            )
-        if layers is not None:
-            if len(layers) != len(blocks):
-                raise ConfigError("layer selection must match hidden_all's first axis")
-            for layer in layers:
-                if not 0 <= layer < self.config.n_layers:
-                    raise ConfigError(f"layer {layer} out of range")
-            sel = list(layers)
-        elif len(blocks) != self.config.n_layers:
-            raise ConfigError(
-                f"need hidden states for all {self.config.n_layers} layers, "
-                f"got {len(blocks)}"
-            )
-        else:
-            sel = list(range(len(blocks)))
-        return blocks, sel, blocks[0].shape[0]
-
-    def _project_blocks(self, blocks, sel, positions, dest) -> None:
-        """Run the shared fused norm + out= GEMM (+ RoPE) loop.
-
-        ``sel[i]`` is the model layer behind block ``i`` (weights are
-        integer-indexed from the cached stacks — zero-copy views, no
-        per-call fancy-index copies).  ``dest(i)`` returns the writable
-        ``(k, v)`` destination views for block ``i`` — either rows of a
-        fresh array pair (:meth:`project_kv_all`) or cache storage
-        (:meth:`project_kv_into`).  Each block goes through the same
-        fused per-chunk projection the streamed restore uses (with the
-        whole layer as one chunk), so every restoration path stays
-        bit-exact with per-layer :meth:`project_kv`.
-        """
-        n_tokens = blocks[0].shape[0]
-        if self.config.rope:
-            positions = np.asarray(positions)
-            if positions.shape != (n_tokens,):
-                raise ConfigError(
-                    f"positions shape {positions.shape} mismatches token count {n_tokens}"
-                )
-        workspace = self.restore_workspace(positions, max(n_tokens, 1))
-        for i, layer in enumerate(sel):
-            k_dest, v_dest = dest(i)
-            self.project_kv_chunk(layer, blocks[i], 0, k_dest, v_dest, workspace)
-
     def restore_workspace(
         self, positions: np.ndarray, max_chunk_tokens: int, sharded: bool = False
     ) -> RestoreWorkspace:
@@ -360,8 +244,8 @@ class Transformer:
         restore will cover (the RoPE tables are precomputed for all of
         them once); ``max_chunk_tokens`` bounds the largest chunk that
         will be projected through the workspace.  ``sharded=True`` adds
-        the full-width GEMM scratch :meth:`project_kv_chunk_sharded`
-        merges head ranges from.
+        the full-width GEMM scratch a ``head_ranges`` projection merges
+        from.
         """
         return RestoreWorkspace(self.config, positions, max_chunk_tokens, sharded)
 
@@ -374,6 +258,7 @@ class Transformer:
         v_dest: np.ndarray,
         workspace: RestoreWorkspace,
         stats: ProjectionStats | None = None,
+        head_ranges: Sequence[tuple[int, int]] | None = None,
     ) -> None:
         """Fused restoration projection of one chunk of one layer.
 
@@ -387,6 +272,23 @@ class Transformer:
         pre-chunk pipeline.  Arithmetic order matches
         :meth:`project_kv` exactly, keeping the result bit-identical to a
         whole-layer (or naive per-layer) projection of the same rows.
+
+        ``head_ranges`` (the tensor dimension of a sharded restore, one
+        range per simulated rank, see
+        :func:`repro.core.gqa.partition_kv_heads`) merges the result into
+        the destinations as disjoint KV-head ranges.  **Merge discipline,
+        for bit-exactness:** the norm and both GEMMs still run once at
+        *full width*, into workspace scratch — a head-sliced GEMM
+        (``normed @ w[:, h0:h1]``) changes the BLAS blocking and with it
+        the last-ulp bits.  Only the strictly elementwise stages are
+        head-sliced: the RoPE rotation (per-element over ``(token, head,
+        dim)``, so a strided head-slice computes identical bits) and the
+        V/non-RoPE-K slice copies, so the union of the ranges' writes is
+        bit-identical to the unsharded call for every partition of the
+        heads.  The ranges must tile ``[0, n_kv_heads)`` contiguously in
+        order (a gap or overlap would silently misproject, so it is
+        rejected), and the workspace must be built with ``sharded=True``.
+        Omitted, the GEMMs write straight into the destinations.
 
         ``stats`` (optional) accumulates per-stage wall time.
         """
@@ -408,6 +310,32 @@ class Transformer:
             raise ConfigError(
                 f"destinations must be {row_shape}, got {k_dest.shape} / {v_dest.shape}"
             )
+        if config.rope and (row_start < 0 or row_start + m > workspace.rot_c.shape[0]):
+            raise ConfigError(
+                f"chunk rows [{row_start}, {row_start + m}) outside the "
+                f"workspace's {workspace.rot_c.shape[0]} precomputed positions"
+            )
+        sharded = head_ranges is not None
+        if sharded:
+            if workspace.v_tmp is None:
+                raise ConfigError(
+                    "sharded projection needs a workspace built with sharded=True"
+                )
+            expected = 0
+            for h0, h1 in head_ranges:
+                if h0 != expected or h1 <= h0:
+                    raise ConfigError(
+                        f"head ranges {list(head_ranges)} must tile "
+                        f"[0, {config.n_kv_heads}) contiguously in order"
+                    )
+                expected = h1
+            if expected != config.n_kv_heads:
+                raise ConfigError(
+                    f"head ranges {list(head_ranges)} must cover all "
+                    f"{config.n_kv_heads} KV heads"
+                )
+        else:
+            head_ranges = ((0, config.n_kv_heads),)
         kv_size = config.kv_size
         timed = stats is not None
         t0 = time.perf_counter() if timed else 0.0
@@ -420,135 +348,22 @@ class Transformer:
             t1 = time.perf_counter()
             stats.norm_s += t1 - t0
             t0 = t1
-        if config.rope:
-            if row_start < 0 or row_start + m > workspace.rot_c.shape[0]:
-                raise ConfigError(
-                    f"chunk rows [{row_start}, {row_start + m}) outside the "
-                    f"workspace's {workspace.rot_c.shape[0]} precomputed positions"
-                )
-            k_tmp = workspace.k_tmp[:m]
-            np.matmul(normed, wk_all[layer], out=k_tmp.reshape(m, kv_size))
-            np.matmul(normed, wv_all[layer], out=v_dest.reshape(m, kv_size))
-            if timed:
-                t1 = time.perf_counter()
-                stats.gemm_s += t1 - t0
-                t0 = t1
-            rope_rotate_fullwidth_into(
-                k_tmp,
-                workspace.rot_c[row_start : row_start + m],
-                workspace.rot_s[row_start : row_start + m],
-                out=k_dest,
-                swap=workspace.rot_swap[:m],
-            )
-            if timed:
-                stats.rope_s += time.perf_counter() - t0
-        else:
-            np.matmul(normed, wk_all[layer], out=k_dest.reshape(m, kv_size))
-            np.matmul(normed, wv_all[layer], out=v_dest.reshape(m, kv_size))
-            if timed:
-                stats.gemm_s += time.perf_counter() - t0
-        if timed:
-            stats.chunks += 1
-
-    def project_kv_chunk_sharded(
-        self,
-        layer: int,
-        hidden_chunk: np.ndarray,
-        row_start: int,
-        k_dest: np.ndarray,
-        v_dest: np.ndarray,
-        workspace: RestoreWorkspace,
-        head_ranges: Sequence[tuple[int, int]],
-        stats: ProjectionStats | None = None,
-    ) -> None:
-        """Head-sharded variant of :meth:`project_kv_chunk`.
-
-        Projects one chunk and merges it into ``k_dest``/``v_dest`` as a
-        sequence of disjoint KV-head ranges — the tensor dimension of a
-        sharded restore, where each simulated rank owns one range of
-        ``head_ranges`` (see :func:`repro.core.gqa.partition_kv_heads`).
-
-        **Merge discipline, for bit-exactness:** the norm and both GEMMs
-        run once at *full width* into workspace scratch — a head-sliced
-        GEMM (``normed @ w[:, h0:h1]``) changes the BLAS blocking and
-        with it the last-ulp bits, so partitioning must never reach the
-        GEMM.  Only the strictly elementwise stages are head-sliced: the
-        RoPE rotation (per-element over ``(token, head, dim)``, so a
-        strided head-slice computes identical bits) and the V/non-RoPE-K
-        slice copies.  The union of the ranges' writes is therefore
-        bit-identical to :meth:`project_kv_chunk` writing the full
-        destinations, for every partition of the heads.
-
-        ``head_ranges`` must tile ``[0, n_kv_heads)`` contiguously in
-        order — a gap or overlap would silently misproject, so it is
-        rejected.  The workspace must be built with ``sharded=True``.
-        """
-        config = self.config
-        norm_w, wk_all, wv_all = self._projection_stack()
-        hidden_chunk = np.asarray(hidden_chunk, dtype=np.float32)
-        if hidden_chunk.ndim != 2 or hidden_chunk.shape[1] != config.hidden_size:
-            raise ConfigError(
-                f"hidden chunk must be (m, {config.hidden_size}), got {hidden_chunk.shape}"
-            )
-        m = hidden_chunk.shape[0]
-        if m > workspace.max_chunk_tokens:
-            raise ConfigError(
-                f"chunk of {m} tokens exceeds workspace capacity "
-                f"{workspace.max_chunk_tokens}"
-            )
-        if workspace.v_tmp is None:
-            raise ConfigError(
-                "sharded projection needs a workspace built with sharded=True"
-            )
-        row_shape = (m, config.n_kv_heads, config.head_dim)
-        if k_dest.shape != row_shape or v_dest.shape != row_shape:
-            raise ConfigError(
-                f"destinations must be {row_shape}, got {k_dest.shape} / {v_dest.shape}"
-            )
-        expected = 0
-        for h0, h1 in head_ranges:
-            if h0 != expected or h1 <= h0:
-                raise ConfigError(
-                    f"head ranges {list(head_ranges)} must tile "
-                    f"[0, {config.n_kv_heads}) contiguously in order"
-                )
-            expected = h1
-        if expected != config.n_kv_heads:
-            raise ConfigError(
-                f"head ranges {list(head_ranges)} must cover all "
-                f"{config.n_kv_heads} KV heads"
-            )
-        kv_size = config.kv_size
-        timed = stats is not None
-        t0 = time.perf_counter() if timed else 0.0
-        normed = workspace.normed[:m]
-        if config.norm == "rmsnorm":
-            rmsnorm_into(hidden_chunk, norm_w[layer, 0], normed, workspace.sq[:m])
-        else:
-            layernorm_into(hidden_chunk, norm_w[layer, 0], normed)
-        if timed:
-            t1 = time.perf_counter()
-            stats.norm_s += t1 - t0
-            t0 = t1
-        k_tmp = workspace.k_tmp[:m]
-        v_tmp = workspace.v_tmp[:m]
-        np.matmul(normed, wk_all[layer], out=k_tmp.reshape(m, kv_size))
-        np.matmul(normed, wv_all[layer], out=v_tmp.reshape(m, kv_size))
+        # RoPE reads K from scratch; everything else lands in place
+        # unless a head merge follows.
+        k_out = workspace.k_tmp[:m] if config.rope or sharded else k_dest
+        v_out = workspace.v_tmp[:m] if sharded else v_dest
+        np.matmul(normed, wk_all[layer], out=k_out.reshape(m, kv_size))
+        np.matmul(normed, wv_all[layer], out=v_out.reshape(m, kv_size))
         if timed:
             t1 = time.perf_counter()
             stats.gemm_s += t1 - t0
             t0 = t1
         if config.rope:
-            if row_start < 0 or row_start + m > workspace.rot_c.shape[0]:
-                raise ConfigError(
-                    f"chunk rows [{row_start}, {row_start + m}) outside the "
-                    f"workspace's {workspace.rot_c.shape[0]} precomputed positions"
-                )
             rows = slice(row_start, row_start + m)
             for h0, h1 in head_ranges:
                 heads = slice(h0, h1)
                 rope_rotate_fullwidth_into(
-                    k_tmp[:, heads],
+                    k_out[:, heads],
                     workspace.rot_c[rows, heads],
                     workspace.rot_s[rows, heads],
                     out=k_dest[:, heads],
@@ -558,13 +373,14 @@ class Transformer:
                 t1 = time.perf_counter()
                 stats.rope_s += t1 - t0
                 t0 = t1
-        else:
+        if sharded:
             for h0, h1 in head_ranges:
-                k_dest[:, h0:h1] = k_tmp[:, h0:h1]
-        for h0, h1 in head_ranges:
-            v_dest[:, h0:h1] = v_tmp[:, h0:h1]
+                if not config.rope:
+                    k_dest[:, h0:h1] = k_out[:, h0:h1]
+                v_dest[:, h0:h1] = v_out[:, h0:h1]
+            if timed:
+                stats.merge_s += time.perf_counter() - t0
         if timed:
-            stats.merge_s += time.perf_counter() - t0
             stats.chunks += 1
 
     def layer_forward(
@@ -895,28 +711,36 @@ class Transformer:
         layer ``L`` for the whole history (what ``capture_hidden`` returns
         and what the storage manager persists); a :class:`HiddenCapture`
         or a pre-stacked ``(n_layers, n, hidden)`` array is used as-is.
-        All layers are projected through one batched norm + GEMM pass and
-        the results are installed into the cache without a copy.
+        Each layer goes through :meth:`project_kv_chunk` as one chunk,
+        straight into the cache's backing storage, so the result is
+        bit-identical to per-layer :meth:`project_kv`.
         """
+        config = self.config
         if isinstance(hidden_states, HiddenCapture):
-            blocks: np.ndarray | list[np.ndarray] = hidden_states.stacked()
-            n_layers, n = blocks.shape[:2]
-        elif isinstance(hidden_states, np.ndarray) and hidden_states.ndim == 3:
-            blocks = hidden_states
-            n_layers, n = blocks.shape[:2]
-        else:
-            blocks = list(hidden_states)
-            n_layers = len(blocks)
-            n = blocks[0].shape[0] if blocks else 0
-        if n_layers != self.config.n_layers:
+            hidden_states = hidden_states.stacked()
+        blocks = [np.asarray(h, dtype=np.float32) for h in hidden_states]
+        if len(blocks) != config.n_layers:
             raise ConfigError(
-                f"need hidden states for all {self.config.n_layers} layers, "
-                f"got {n_layers}"
+                f"need hidden states for all {config.n_layers} layers, "
+                f"got {len(blocks)}"
+            )
+        n = blocks[0].shape[0] if blocks[0].ndim == 2 else -1
+        if any(block.shape != (n, config.hidden_size) for block in blocks):
+            raise ConfigError(
+                f"every layer must be one (n, {config.hidden_size}) block "
+                f"covering the same tokens"
             )
         pos = np.arange(n) if positions is None else np.asarray(positions)
-        k, v = self.project_kv_all(blocks, pos)
-        cache = KVCache(self.config)
-        cache.install_all(k, v)
+        if config.rope and pos.shape != (n,):
+            raise ConfigError(
+                f"positions shape {pos.shape} mismatches token count {n}"
+            )
+        cache = KVCache(config)
+        cache.reserve(n)
+        workspace = self.restore_workspace(pos, max(n, 1))
+        for layer, block in enumerate(blocks):
+            k_dest, v_dest = cache.install_view(layer, n)
+            self.project_kv_chunk(layer, block, 0, k_dest, v_dest, workspace)
         return cache
 
     def recompute_prefix(

@@ -1,45 +1,40 @@
 """Threaded restore executor: real wall-clock IO/compute overlap (§4.1).
 
-PR 2 gave restoration the *shape* of the paper's pipeline — granule
-streams, double buffering, a modelled two-stream makespan — but executed
-it on one thread, so measured wall clock stayed the serial sum.  This
-module adds the missing concurrency: a :class:`RestoreExecutor` walks the
-storage manager's granule plan, keeps up to ``inflight`` granule reads
-running on a background :class:`~repro.runtime.io_pool.IOWorkerPool`, and
-projects each granule on the calling thread as soon as its read resolves.
-Layer ``k``'s projection now genuinely overlaps layer ``k+1``'s read.
+A :class:`RestoreExecutor` is what a restore passes to the one granule
+loop, :func:`repro.runtime.drain.drain`, to make its overlap real: a
+background :class:`~repro.runtime.io_pool.IOWorkerPool` for the reads and
+an ``inflight`` window of reads kept running ahead of consumption.  The
+calling thread projects each granule as soon as its read resolves, so
+layer ``k``'s projection genuinely overlaps layer ``k+1``'s read.
 
-Determinism and bit-exactness: the executor consumes granules in exactly
-the order :meth:`StorageManager.granule_plan` enumerates them — the same
-order the single-threaded stream yields — and all projection compute runs
+Determinism and bit-exactness: the drain consumes granules in exactly
+the order :meth:`StorageManager.granule_plan` enumerates them — the
+order the single-threaded restore uses — and all projection compute runs
 on the single calling thread into disjoint KV-cache row slices.  Worker
 threads only ever fill staging slots they exclusively own (see the
 threading rules on :class:`repro.storage.streaming.StagingRing`), so the
 restored bytes are identical to the single-threaded path for every pool
 size, and the tests assert exactly that against the naive reference.
 
-Concurrent restorations of *different* contexts may share one executor:
-each ``restore`` call brings its own staging ring and workspace, devices
-are read-only during restoration, and the pool is the only shared
-resource — which is the point, since a shared IO path is the contention a
-real serving system sees.
+Concurrent restorations of *different* contexts may share one executor
+(:meth:`RestoreExecutor.restore_contexts_async` runs them on background
+restore threads): each restore brings its own staging rings and workspace,
+devices are read-only during restoration, and the pool is the only
+shared resource — which is the point, since a shared IO path is the
+contention a real serving system sees.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from functools import partial
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.runtime.io_pool import IOWorkerPool
-from repro.storage.manager import StorageManager
-from repro.storage.streaming import LayerChunk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.hcache import HCacheEngine, RestoreBreakdown
+    from repro.core.hcache import HCacheEngine
     from repro.models.kv_cache import KVCache
 
 
@@ -67,8 +62,8 @@ class RestoreExecutor:
             granules, so every multi-granule completion burst stalls the
             consumer and the pipeline measurably serializes (a regression
             test pins this).  Ignored when ``inflight`` is given.
-        max_concurrent_restores: Cap on driver threads used by
-            :meth:`restore_contexts`.
+        max_concurrent_restores: Cap on the background threads that run
+            :meth:`restore_contexts_async` restores.
     """
 
     def __init__(
@@ -95,8 +90,7 @@ class RestoreExecutor:
         self.inflight = inflight
         self.lookahead = lookahead
         self.max_concurrent_restores = max_concurrent_restores
-        #: Lazily created driver pool for :meth:`restore_contexts_async`;
-        #: ``restore_contexts`` keeps its per-call pool (simpler lifetime).
+        #: Lazily created restore-thread pool for :meth:`restore_contexts_async`.
         self._async_drivers: ThreadPoolExecutor | None = None
 
     # -- lifecycle -----------------------------------------------------
@@ -115,118 +109,6 @@ class RestoreExecutor:
         if self._owns_pool:
             self.pool.shutdown()
 
-    # -- the threaded drain --------------------------------------------
-
-    def drain(
-        self,
-        storage: StorageManager,
-        context_id: str,
-        layers: Sequence[int],
-        kind: str,
-        granule_chunks: int,
-        consume: Callable[[LayerChunk], None],
-        stats: "RestoreBreakdown | None" = None,
-        io_times: list[float] | None = None,
-        compute_times: list[float] | None = None,
-        start_tokens: int = 0,
-    ) -> None:
-        """Threaded counterpart of ``HCacheEngine._drain_stream``.
-
-        Walks the granule plan, keeps up to ``self.inflight`` reads
-        running on the pool, and calls ``consume`` (projection or KV
-        install) on the calling thread in plan order.  Accounting matches
-        the single-threaded drain: ``io_times`` get each granule's
-        modelled device seconds, ``compute_times`` the measured consume
-        wall clock, and ``stats.read_s`` accumulates the time this thread
-        actually *stalled* waiting for a read — i.e. the IO the pipeline
-        failed to hide, which is 0 in the ideal §4.1 timeline.
-        ``stats.dispatch_s`` gets the submit-side overhead (staging-slot
-        acquisition + pool handoff per granule) — together with
-        ``read_s`` it itemizes the executor-overhead gap between wall
-        clock and the modelled makespan.  ``start_tokens``
-        (chunk-aligned) skips every layer's shared-prefix rows, exactly
-        like the single-threaded stream.
-        """
-        plan = storage.granule_plan(
-            context_id, layers, kind, granule_chunks, start_tokens
-        )
-        if not plan:
-            return
-        timed = stats is not None
-        if timed:
-            io_times = io_times if io_times is not None else []
-            compute_times = compute_times if compute_times is not None else []
-        ring = storage.staging_ring(
-            context_id,
-            kind,
-            depth=max(2, self.inflight + 1),
-            granule_chunks=granule_chunks,
-        )
-        pending: deque = deque()
-        next_index = 0
-
-        def submit_next() -> None:
-            nonlocal next_index
-            if next_index >= len(plan):
-                return
-            spec = plan[next_index]
-            next_index += 1
-            t0 = perf_counter() if timed else 0.0
-            view = ring.acquire()[: spec.n_tokens]
-            future = self.pool.submit(storage.read_granule_into, context_id, spec, view)
-            pending.append((spec, view, future))
-            if timed:
-                stats.dispatch_s += perf_counter() - t0
-
-        for _ in range(self.inflight):
-            submit_next()
-        try:
-            while pending:
-                spec, view, future = pending.popleft()
-                t0 = perf_counter() if timed else 0.0
-                io_seconds, device_reads = future.result()
-                if timed:
-                    stats.read_s += perf_counter() - t0
-                    stats.granules += 1
-                    stats.device_reads += device_reads
-                    io_times.append(io_seconds)
-                # Refill the window before consuming, so the next read runs
-                # under this granule's projection — the §4.1 overlap.  Ring
-                # depth is inflight + 1, so the slot this submit recycles
-                # was acquired inflight + 1 submissions earlier — the
-                # granule consumed in the previous loop iteration, never the
-                # live `view` (which was acquired only inflight ago).
-                submit_next()
-                t0 = perf_counter() if timed else 0.0
-                consume(
-                    LayerChunk(
-                        layer=spec.layer,
-                        kind=spec.kind,
-                        start=spec.start,
-                        stop=spec.stop,
-                        data=view,
-                        io_seconds=io_seconds,
-                        device_reads=device_reads,
-                    )
-                )
-                if timed:
-                    compute_times.append(perf_counter() - t0)
-        # lint: disable=exception-safety -- sanctioned drain containment: settles in-flight reads, then re-raises
-        except BaseException:
-            # Containment: a failed read (e.g. every replica of a device
-            # faulted) or a failed consume must not leave in-flight workers
-            # filling staging slots this drain abandoned.  Settle every
-            # outstanding future before propagating, so the pool is clean
-            # for the next restore.  (CancelledError is a BaseException.)
-            for _, _, future in pending:
-                future.cancel()
-                try:
-                    future.result()
-                # lint: disable=exception-safety -- settling a cancelled future; the original fault re-raises below
-                except BaseException:
-                    pass
-            raise
-
     # -- concurrent multi-context restore ------------------------------
 
     def restore_contexts(
@@ -237,60 +119,20 @@ class RestoreExecutor:
         reserve_tokens: "int | Mapping[str, int]" = 0,
         shards: "tuple[int, int] | int | None" = None,
     ) -> dict[str, "KVCache"]:
-        """Restore several contexts concurrently through the shared pool.
+        """Restore several contexts concurrently and wait for all of them.
 
-        Each context gets a driver thread (at most
-        ``max_concurrent_restores`` at once) running the ordinary
-        ``engine.restore(..., executor=self)``; their granule reads all
-        contend for the same IO workers, which is the serving-layer
-        scenario the simulator's ``restore_io_parallelism`` models in
-        time.  Per-context results are bit-identical to restoring them
-        one by one — restores share no mutable state but the pool and the
-        read-only storage.  ``reserve_tokens`` is one capacity for every
-        context or a per-context mapping (missing ids reserve 0 — only
-        each context's own expected length is worth preallocating).
-        ``shards`` forwards a ``(pipeline, tensor)`` shard shape to every
-        ``engine.restore`` (see :meth:`HCacheEngine.restore`); a
-        :class:`~repro.runtime.sharded.ShardedRestoreExecutor` shards by
-        its own shape even when this is ``None``.
-        Returns ``{context_id: KVCache}``; the first failure propagates
-        after the remaining drivers finish.
+        :meth:`restore_contexts_async` plus a wait on every future; the
+        options mean the same there.  Per-context results are
+        bit-identical to restoring them one by one.  Returns
+        ``{context_id: KVCache}``; if any restore fails, the first
+        failure (in ``context_ids`` order) re-raises after every other
+        restore has settled.
         """
-        ids = list(context_ids)
-        if len(set(ids)) != len(ids):
-            raise ConfigError("restore_contexts needs distinct context ids")
-        if not ids:
-            return {}
-        if isinstance(reserve_tokens, int):
-            reserve = dict.fromkeys(ids, reserve_tokens)
-        else:
-            reserve = {cid: int(reserve_tokens.get(cid, 0)) for cid in ids}
-        # Build the shared projection-weight stacks once, up front; the
-        # lazy build is idempotent but racing it wastes work.
-        engine.transformer._projection_stack()
-        if len(ids) == 1:
-            return {
-                ids[0]: engine.restore(
-                    ids[0], reserve[ids[0]], executor=self, shards=shards
-                )
-            }
-        with ThreadPoolExecutor(
-            max_workers=min(self.max_concurrent_restores, len(ids)),
-            thread_name_prefix="hcache-restore",
-        ) as drivers:
-            futures = {
-                cid: drivers.submit(
-                    partial(
-                        engine.restore,
-                        cid,
-                        reserve[cid],
-                        executor=self,
-                        shards=shards,
-                    )
-                )
-                for cid in ids
-            }
-            return {cid: futures[cid].result() for cid in ids}
+        futures = self.restore_contexts_async(
+            engine, context_ids, reserve_tokens=reserve_tokens, shards=shards
+        )
+        wait(futures.values())
+        return {cid: future.result() for cid, future in futures.items()}
 
     def restore_contexts_async(
         self,
@@ -300,12 +142,21 @@ class RestoreExecutor:
         reserve_tokens: "int | Mapping[str, int]" = 0,
         shards: "tuple[int, int] | int | None" = None,
     ) -> dict[str, "Future[KVCache]"]:
-        """Like :meth:`restore_contexts`, but non-blocking.
+        """Restore several contexts concurrently through the shared pool.
 
         Returns ``{context_id: Future[KVCache]}`` immediately; each
-        restoration runs on a persistent driver pool (at most
-        ``max_concurrent_restores`` concurrently) and the caller installs
-        the finished cache whenever it polls the future.  This is the
+        restoration is an ordinary ``engine.restore(..., executor=self)``
+        on a persistent restore-thread pool (at most ``max_concurrent_restores``
+        concurrently), and the caller installs the finished cache
+        whenever it polls the future.  Their granule reads all contend
+        for the same IO workers, which is the serving-layer scenario the
+        simulator's ``restore_io_parallelism`` models in time.
+        ``reserve_tokens`` is one capacity for every context or a
+        per-context mapping (missing ids reserve 0).  ``shards`` forwards
+        a ``(pipeline, tensor)`` shard shape to every ``engine.restore``
+        (see :meth:`HCacheEngine.restore`); a
+        :class:`~repro.runtime.sharded.ShardedRestoreExecutor` shards by
+        its own shape even when this is ``None``.  This is the
         serving front end's restore/decode overlap: admitted-but-evicted
         sessions restore in the background — their granule reads on the
         shared :class:`IOWorkerPool`, their projection GEMMs on the
@@ -322,13 +173,15 @@ class RestoreExecutor:
         """
         ids = list(context_ids)
         if len(set(ids)) != len(ids):
-            raise ConfigError("restore_contexts_async needs distinct context ids")
+            raise ConfigError("restore_contexts needs distinct context ids")
         if not ids:
             return {}
         if isinstance(reserve_tokens, int):
             reserve = dict.fromkeys(ids, reserve_tokens)
         else:
             reserve = {cid: int(reserve_tokens.get(cid, 0)) for cid in ids}
+        # Build the shared projection-weight stacks once, up front; the
+        # lazy build is idempotent but racing it wastes work.
         engine.transformer._projection_stack()
         if self._async_drivers is None:
             self._async_drivers = ThreadPoolExecutor(

@@ -5,16 +5,17 @@ restoration's IO with its projections, but both still flow through a
 single stream pair — one simulated GPU.  This module partitions one
 restoration across ``pipeline_shards x tensor_shards`` simulated GPUs:
 
-- **Pipeline dimension** (:func:`partition_layers`): the drain's layers
-  split into contiguous stages.  Stages share nothing but the IO worker
-  pool, so their granule streams progress independently — the per-stage
-  independence the modelled timeline takes a ``max`` over
+- **Pipeline dimension** (:func:`partition_layers`): the restore's
+  layers split into contiguous stages, and :func:`repro.runtime.drain.drain`
+  gets one granule plan per stage.  Stages share nothing but the IO
+  worker pool, so their granule streams progress independently — the
+  per-stage independence the modelled timeline takes a ``max`` over
   (:func:`repro.simulator.pipeline.sharded_restoration_makespan`).
 - **Tensor dimension** (:func:`repro.core.gqa.partition_kv_heads`): KV
   heads split into GQA-group-aligned contiguous ranges.  Each rank of a
-  stage contributes one read channel (granule reads fan out at
-  aggregated bandwidth) and owns one head range of the merge
-  (:meth:`Transformer.project_kv_chunk_sharded` /
+  stage contributes one read channel (a stage keeps ``tensor_shards *
+  inflight_per_shard`` reads in flight) and owns one head range of the
+  merge (:meth:`Transformer.project_kv_chunk` with ``head_ranges`` /
   :meth:`KVCache.install_packed_head_rows` write disjoint head slices).
 
 **Merge discipline / bit-exactness.**  Restored bytes must be
@@ -37,21 +38,12 @@ at the aggregated-bandwidth ``io_total / (p*t)`` the model prices.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass, field
 from itertools import accumulate
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError
 from repro.runtime.executor import RestoreExecutor
 from repro.runtime.io_pool import IOWorkerPool
-from repro.storage.manager import StorageManager
-from repro.storage.streaming import LayerChunk
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.hcache import RestoreBreakdown
 
 
 def partition_layers(
@@ -82,29 +74,14 @@ def partition_layers(
     return tuple(layers[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
 
-@dataclass
-class StageTrace:
-    """Per-granule accounting of one pipeline stage of a sharded drain.
-
-    Filled by :meth:`ShardedRestoreExecutor.drain_sharded` (when timing)
-    in that stage's consumption order; the engine turns it into the
-    per-stage :class:`~repro.simulator.pipeline.ShardedStageTimeline`
-    the modelled sharded makespan is computed from.
-    """
-
-    stage: int
-    io_seconds: list[float] = field(default_factory=list)
-    compute_seconds: list[float] = field(default_factory=list)
-    rows: list[int] = field(default_factory=list)
-
-
 class ShardedRestoreExecutor(RestoreExecutor):
     """Drives one restoration as ``pipeline x tensor`` concurrent shards.
 
     Subclasses :class:`RestoreExecutor` (pool ownership, context-manager
-    lifetime, ``restore_contexts``) and adds :meth:`drain_sharded`, the
-    multi-stage granule loop.  An engine handed a sharded executor
-    restores through it automatically
+    lifetime, ``restore_contexts``) and adds the shard shape: the engine
+    drains ``pipeline_shards`` stages of each restore, each with a window
+    (:attr:`inflight`) of ``tensor_shards * inflight_per_shard`` reads.
+    An engine handed a sharded executor restores through it automatically
     (:meth:`HCacheEngine.restore` resolves ``shards`` from
     :attr:`shard_shape` when not given explicitly), so
     ``restore_contexts`` and :class:`NumericServingEngine` shard with
@@ -141,7 +118,11 @@ class ShardedRestoreExecutor(RestoreExecutor):
             raise ConfigError("inflight_per_shard must be at least 1")
         if pool is None:
             pool = pipeline_shards * tensor_shards
-        super().__init__(pool, max_concurrent_restores=max_concurrent_restores)
+        super().__init__(
+            pool,
+            inflight=tensor_shards * inflight_per_shard,
+            max_concurrent_restores=max_concurrent_restores,
+        )
         self.pipeline_shards = pipeline_shards
         self.tensor_shards = tensor_shards
         self.inflight_per_shard = inflight_per_shard
@@ -150,151 +131,3 @@ class ShardedRestoreExecutor(RestoreExecutor):
     def shard_shape(self) -> tuple[int, int]:
         """``(pipeline_shards, tensor_shards)``."""
         return (self.pipeline_shards, self.tensor_shards)
-
-    # -- the sharded drain ---------------------------------------------
-
-    def drain_sharded(
-        self,
-        storage: StorageManager,
-        context_id: str,
-        stage_layers: Sequence[Sequence[int]],
-        kind: str,
-        granule_chunks: int,
-        consume: Callable[[LayerChunk], None],
-        stats: "RestoreBreakdown | None" = None,
-        io_times: list[float] | None = None,
-        compute_times: list[float] | None = None,
-        start_tokens: int = 0,
-        traces: list[StageTrace] | None = None,
-    ) -> None:
-        """Drain several pipeline stages' granule streams concurrently.
-
-        Each entry of ``stage_layers`` (one per pipeline stage, from
-        :func:`partition_layers`) gets its own granule plan, staging
-        ring, and submission window of ``tensor_shards *
-        inflight_per_shard`` in-flight reads — the stage's tensor ranks
-        pulling at aggregated bandwidth.  Reads across all stages share
-        the IO pool; consumption runs on the calling thread, within each
-        stage strictly in plan order (bit-exactness: granule boundaries
-        and per-granule consume calls are identical to the single-shard
-        drain of that stage's layers), across stages interleaved by
-        readiness (whichever stage's next granule has landed).  All
-        head-range slicing lives in ``consume`` — this loop only routes
-        granules.
-
-        Accounting mirrors :meth:`RestoreExecutor.drain`; ``traces``
-        (optional, filled only when ``stats`` is given) additionally
-        records each stage's per-granule io/compute/rows for the
-        modelled sharded makespan.
-        """
-        plans = [
-            storage.granule_plan(context_id, list(layers), kind, granule_chunks, start_tokens)
-            for layers in stage_layers
-            if len(layers)
-        ]
-        plans = [plan for plan in plans if plan]
-        if not plans:
-            return
-        timed = stats is not None
-        if timed:
-            io_times = io_times if io_times is not None else []
-            compute_times = compute_times if compute_times is not None else []
-        window = self.tensor_shards * self.inflight_per_shard
-        rings = [
-            storage.staging_ring(
-                context_id, kind, depth=max(2, window + 1), granule_chunks=granule_chunks
-            )
-            for _ in plans
-        ]
-        stage_traces: list[StageTrace] | None = None
-        if traces is not None and timed:
-            stage_traces = [StageTrace(stage=s) for s in range(len(plans))]
-            traces.extend(stage_traces)
-        pending: list[deque] = [deque() for _ in plans]
-        next_index = [0] * len(plans)
-
-        def submit_next(s: int) -> None:
-            if next_index[s] >= len(plans[s]):
-                return
-            spec = plans[s][next_index[s]]
-            next_index[s] += 1
-            t0 = perf_counter() if timed else 0.0
-            view = rings[s].acquire()[: spec.n_tokens]
-            future = self.pool.submit(storage.read_granule_into, context_id, spec, view)
-            pending[s].append((spec, view, future))
-            if timed:
-                stats.dispatch_s += perf_counter() - t0
-
-        # Prime every stage's window.  Per-stage outstanding reads never
-        # exceed `window` (one refill per consume below), and each ring
-        # is `window + 1` deep, so the slot a refill recycles was
-        # acquired window + 1 submissions earlier in the same stage —
-        # always a granule that stage has already consumed.
-        for s in range(len(plans)):
-            for _ in range(window):
-                submit_next(s)
-        rotation = 0
-        try:
-            while any(pending):
-                live = [s for s in range(len(plans)) if pending[s]]
-                ready = -1
-                for offset in range(len(live)):
-                    s = live[(rotation + offset) % len(live)]
-                    if pending[s][0][2].done():
-                        ready = s
-                        break
-                if ready < 0:
-                    # No stage's head granule has landed: a genuine
-                    # cross-stage stall (the IO every shard failed to
-                    # hide).  Wake on the first head to complete.
-                    t0 = perf_counter() if timed else 0.0
-                    wait(
-                        [pending[s][0][2] for s in live],
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if timed:
-                        stats.read_s += perf_counter() - t0
-                    continue
-                rotation = ready + 1
-                spec, view, future = pending[ready].popleft()
-                io_seconds, device_reads = future.result()
-                if timed:
-                    stats.granules += 1
-                    stats.device_reads += device_reads
-                    io_times.append(io_seconds)
-                # Refill this stage's window before consuming, so the
-                # next read runs under this granule's projection.
-                submit_next(ready)
-                t0 = perf_counter() if timed else 0.0
-                consume(
-                    LayerChunk(
-                        layer=spec.layer,
-                        kind=spec.kind,
-                        start=spec.start,
-                        stop=spec.stop,
-                        data=view,
-                        io_seconds=io_seconds,
-                        device_reads=device_reads,
-                    )
-                )
-                if timed:
-                    consume_s = perf_counter() - t0
-                    compute_times.append(consume_s)
-                    if stage_traces is not None:
-                        trace = stage_traces[ready]
-                        trace.io_seconds.append(io_seconds)
-                        trace.compute_seconds.append(consume_s)
-                        trace.rows.append(spec.n_tokens)
-        # lint: disable=exception-safety -- sanctioned drain containment: settles in-flight reads across all stages, then re-raises
-        except BaseException:
-            # Containment, as in RestoreExecutor.drain: no abandoned
-            # worker may keep filling a staging slot of any stage.
-            for stage_pending in pending:
-                for _, _, future in stage_pending:
-                    future.cancel()
-                    try:
-                        future.result()
-                    # lint: disable=exception-safety -- settling a cancelled future; the original fault re-raises below
-                    except BaseException:
-                        pass
-            raise

@@ -252,6 +252,26 @@ class TestGenerateCaptureEquivalence:
             assert np.array_equal(cap.layer_view(layer), result.hidden_states[layer])
 
 
+def cache_layers(cache):
+    """Per-layer K and V lists of a restored cache."""
+    layers = [cache.get(layer) for layer in range(cache.config.n_layers)]
+    return [k for k, _ in layers], [v for _, v in layers]
+
+
+def project_layers(model, hidden, positions, layers):
+    """Project ``layers`` (one hidden block each) with the fused kernel,
+    each layer as one chunk, into fresh ``(len(layers), n, heads, dim)``
+    arrays."""
+    config = model.config
+    n = len(positions)
+    k_all = np.empty((len(layers), n, config.n_kv_heads, config.head_dim), np.float32)
+    v_all = np.empty_like(k_all)
+    workspace = model.restore_workspace(positions, n)
+    for i, layer in enumerate(layers):
+        model.project_kv_chunk(layer, hidden[i], 0, k_all[i], v_all[i], workspace)
+    return k_all, v_all
+
+
 class TestBatchedRestore:
     def test_restore_matches_naive_bit_exact(self, tiny_model, tiny_config):
         result, cache = tiny_model.prefill(prompt(tiny_config, 33, seed=23), capture_hidden=True)
@@ -273,7 +293,9 @@ class TestBatchedRestore:
     def test_project_kv_all_matches_per_layer(self, tiny_model, tiny_config):
         result, _ = tiny_model.prefill(prompt(tiny_config, 17, seed=25), capture_hidden=True)
         pos = np.arange(17)
-        k_all, v_all = tiny_model.project_kv_all(result.hidden_states, pos)
+        k_all, v_all = cache_layers(
+            tiny_model.restore_cache_from_hidden(result.hidden_states, pos)
+        )
         for layer in range(tiny_config.n_layers):
             k, v = tiny_model.project_kv(layer, result.hidden_states[layer], pos)
             assert np.array_equal(k_all[layer], k)
@@ -283,8 +305,8 @@ class TestBatchedRestore:
         result, _ = tiny_model.prefill(prompt(tiny_config, 11, seed=26), capture_hidden=True)
         pos = np.arange(11)
         subset = [1, 3]
-        k_all, v_all = tiny_model.project_kv_all(
-            [result.hidden_states[layer] for layer in subset], pos, layers=subset
+        k_all, v_all = project_layers(
+            tiny_model, [result.hidden_states[layer] for layer in subset], pos, subset
         )
         for i, layer in enumerate(subset):
             k, v = tiny_model.project_kv(layer, result.hidden_states[layer], pos)
@@ -294,10 +316,15 @@ class TestBatchedRestore:
     def test_project_kv_into_matches_project_kv_all(self, tiny_model, tiny_config):
         result, _ = tiny_model.prefill(prompt(tiny_config, 13, seed=31), capture_hidden=True)
         pos = np.arange(13)
-        k_all, v_all = tiny_model.project_kv_all(result.hidden_states, pos)
+        k_all, v_all = cache_layers(
+            tiny_model.restore_cache_from_hidden(result.hidden_states, pos)
+        )
         cache = KVCache(tiny_config)
         cache.reserve(64)
-        tiny_model.project_kv_into(result.hidden_states, pos, cache)
+        workspace = tiny_model.restore_workspace(pos, 13)
+        for layer, hidden in enumerate(result.hidden_states):
+            k_view, v_view = cache.install_view(layer, 13)
+            tiny_model.project_kv_chunk(layer, hidden, 0, k_view, v_view, workspace)
         assert cache.capacity == 64  # projected into the reserved buffer
         for layer in range(tiny_config.n_layers):
             got_k, got_v = cache.get(layer)

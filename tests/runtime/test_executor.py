@@ -10,6 +10,7 @@ would show up as flaky mismatches).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,14 +20,16 @@ from repro.core.hcache import HCacheEngine, RestoreBreakdown
 from repro.core.partition import PartitionScheme
 from repro.core.profiler import build_storage_array
 from repro.engine.numeric_engine import NumericServingEngine
-from repro.errors import ConfigError, StateError
+from repro.errors import ConfigError, DeviceFault, StateError
 from repro.models.config import model_preset
 from repro.models.reference import NaiveKVCache
 from repro.models.transformer import Transformer
 from repro.runtime import IOWorkerPool, RestoreExecutor
+from repro.runtime.drain import drain
 from repro.simulator import platform_preset
+from repro.simulator.hardware import GB, SSDSpec
 from repro.simulator.pipeline import LayerMethod
-from repro.storage import LatencyEmulator, StorageManager
+from repro.storage import FaultPolicy, LatencyEmulator, StorageArray, StorageManager
 
 POOL_SIZES = [1, 2, 4]
 
@@ -188,10 +191,14 @@ class TestDrainDirectUse:
         save_context(engine, model, config, 128)
         chunks = []
         stats = RestoreBreakdown()
+        layers = list(range(config.n_layers))
+        plan = engine.storage.granule_plan(
+            "c", layers, "hidden", engine.stream_granule_chunks
+        )
         with RestoreExecutor(1) as executor:
-            executor.drain(
-                engine.storage, "c", list(range(config.n_layers)), "hidden",
-                engine.stream_granule_chunks, chunks.append, stats=stats,
+            drain(
+                engine.storage, "c", [plan], engine.stream_granule_chunks,
+                chunks.append, executor.pool, executor.inflight, stats=stats,
             )
         assert stats.granules == len(chunks) > 0
 
@@ -244,6 +251,55 @@ class TestConcurrentContexts:
         model, engine = build_engine(config)
         with RestoreExecutor(1) as executor:
             assert executor.restore_contexts(engine, []) == {}
+
+    def test_failure_reraises_after_the_other_restore_settles(self, monkeypatch):
+        """One of two contexts loses every replica of a device: its
+        DeviceFault re-raises only after the other restore has finished,
+        and the same executor then restores both bit-exact."""
+        config = model_preset("tiny-llama")
+        model = Transformer.from_seed(config, seed=11)
+        spec = SSDSpec("t-ssd", read_bandwidth=3 * GB, write_bandwidth=1 * GB,
+                       capacity_bytes=1 * GB)
+        array = StorageArray([spec] * 5, link_bandwidth=8 * GB, replication=2)
+        engine = HCacheEngine(model, StorageManager(array))
+        # Chunk i of layer L lives on slot (i + L) % 5.  "lost" stores four
+        # device chunks per layer, so layers 1-3 reach slot 4; "ok" stores
+        # one (its partial tail stays on the host), on slots 0-3 only.
+        save_context(engine, model, config, 300, context_id="lost")
+        save_context(engine, model, config, 100, context_id="ok")
+        expected = {cid: engine.restore(cid) for cid in ("lost", "ok")}
+        restore = engine.restore
+        lost_failed = threading.Event()
+        finished = []
+
+        def observed(cid, *args, **kwargs):
+            if cid == "ok":
+                # Start only after the other restore failed, so a caller
+                # that re-raised at once would return before this ends.
+                assert lost_failed.wait(timeout=30)
+                cache = restore(cid, *args, **kwargs)
+                finished.append(cid)
+                return cache
+            try:
+                return restore(cid, *args, **kwargs)
+            except DeviceFault:
+                lost_failed.set()
+                raise
+
+        monkeypatch.setattr(engine, "restore", observed)
+        with RestoreExecutor(2) as executor:
+            for role in ("primary", "mirror"):
+                array.replica(4, role).fault_policy = FaultPolicy.dead()
+            try:
+                with pytest.raises(DeviceFault):
+                    executor.restore_contexts(engine, ["lost", "ok"])
+                assert finished == ["ok"]
+            finally:
+                for role in ("primary", "mirror"):
+                    array.replica(4, role).fault_policy = None
+            restored = executor.restore_contexts(engine, ["lost", "ok"])
+        for cid, cache in expected.items():
+            assert restored[cid].equals(cache, atol=0.0), cid
 
 
 class TestNumericServingEngineIntegration:

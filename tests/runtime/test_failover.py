@@ -5,6 +5,8 @@ fail loudly without wedging the executor."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.core.hcache import HCacheEngine
 from repro.errors import DeviceFault
 from repro.models.config import model_preset
 from repro.models.transformer import Transformer
-from repro.runtime import RestoreExecutor
+from repro.runtime import RestoreExecutor, ShardedRestoreExecutor
 from repro.simulator.hardware import GB, SSDSpec
 from repro.storage import FaultPolicy, StorageArray, StorageManager
 
@@ -83,10 +85,18 @@ def test_single_threaded_failover_matches_too(saved_stack):
     assert healthy.equals(restored)
 
 
-def test_total_replica_loss_fails_loud_and_executor_survives(saved_stack):
+DRAIN_MODES = {
+    "inline": lambda: nullcontext(None),
+    "threaded": lambda: RestoreExecutor(pool=2),
+    "sharded": lambda: ShardedRestoreExecutor((2, 2)),
+}
+
+
+@pytest.mark.parametrize("mode", list(DRAIN_MODES))
+def test_total_replica_loss_fails_loud_and_executor_survives(saved_stack, mode):
     array, engine = saved_stack
     clear_faults(array)
-    with RestoreExecutor(pool=2) as executor:
+    with DRAIN_MODES[mode]() as executor:
         array.replica(0).fault_policy = FaultPolicy.dead()
         array.replica(0, "mirror").fault_policy = FaultPolicy.dead()
         try:

@@ -30,6 +30,7 @@ from repro.models.config import model_preset
 from repro.models.reference import NaiveKVCache
 from repro.models.transformer import Transformer
 from repro.runtime import IOWorkerPool, RestoreExecutor, ShardedRestoreExecutor, partition_layers
+from repro.runtime.drain import drain
 from repro.simulator import platform_preset
 from repro.simulator.hardware import GPUS, GB, Platform, SSDSpec
 from repro.simulator.pipeline import LayerMethod
@@ -456,12 +457,16 @@ class TestLookaheadSerialization:
             engine.storage.array.emulate_latency(min_sleep_s=10e-3)
             try:
                 stats = RestoreBreakdown()
+                plan = engine.storage.granule_plan(
+                    "c", layers, "hidden", engine.stream_granule_chunks
+                )
                 with RestoreExecutor(1, lookahead=lookahead) as executor:
                     t0 = time.perf_counter()
-                    executor.drain(
-                        engine.storage, "c", layers, "hidden",
+                    drain(
+                        engine.storage, "c", [plan],
                         engine.stream_granule_chunks,
                         lambda chunk: time.sleep(2e-3),
+                        executor.pool, executor.inflight,
                         stats=stats,
                     )
                     wall = time.perf_counter() - t0

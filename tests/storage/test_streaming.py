@@ -8,7 +8,9 @@ import pytest
 from repro.core.profiler import build_storage_array
 from repro.errors import ConfigError
 from repro.simulator import platform_preset
+from repro.runtime.drain import InlinePool, drain
 from repro.storage import StagingRing, StorageManager, pipelined_makespan
+from repro.storage.streaming import GranuleSpec, LayerChunk
 
 
 def make_manager(platform_name: str = "default") -> StorageManager:
@@ -56,13 +58,29 @@ class TestStagingRing:
         assert a is not b
 
 
+def stream(manager, layers, kind="hidden", granule_chunks=1):
+    """Every granule of ``layers`` in plan order, each read into its own
+    buffer with the one read implementation restores use."""
+    width = manager.staging_ring("ctx", kind).width
+    chunks = []
+    for spec in manager.granule_plan("ctx", layers, kind, granule_chunks):
+        data = np.empty((spec.n_tokens, width), dtype=np.float32)
+        io_seconds, device_reads = manager.read_granule_into("ctx", spec, data)
+        chunks.append(
+            LayerChunk(
+                spec.layer, kind, spec.start, spec.stop, data, io_seconds, device_reads
+            )
+        )
+    return chunks
+
+
 class TestStreamLayer:
     @pytest.mark.parametrize("n_tokens", [1, 63, 64, 65, 197, 256])
     def test_reassembled_stream_matches_load_layer(self, n_tokens):
         manager = make_manager()
         expected = fill_context(manager, n_tokens)
         out = np.empty((n_tokens, 16), dtype=np.float32)
-        for chunk in manager.stream_layer("ctx", 1):
+        for chunk in stream(manager, [1]):
             out[chunk.start : chunk.stop] = chunk.data
         assert np.array_equal(out, expected[1])
         assert np.array_equal(out, manager.load_layer("ctx", 1))
@@ -71,11 +89,10 @@ class TestStreamLayer:
     def test_granule_coalescing_preserves_content(self, granule_chunks):
         manager = make_manager()
         expected = fill_context(manager, 197)
-        ring = manager.staging_ring("ctx", granule_chunks=granule_chunks)
         out = np.zeros((197, 16), dtype=np.float32)
         device_reads = 0
-        for chunk in manager.stream_layer("ctx", 0, ring=ring):
-            out[chunk.start : chunk.stop] = chunk.data  # consume before recycling
+        for chunk in stream(manager, [0], granule_chunks=granule_chunks):
+            out[chunk.start : chunk.stop] = chunk.data
             device_reads += chunk.device_reads
         assert np.array_equal(out, expected[0])
         # Coalescing shrinks granule count but never IO granularity: the
@@ -85,7 +102,7 @@ class TestStreamLayer:
     def test_sealed_partial_tail_streams_from_host(self):
         manager = make_manager()
         expected = fill_context(manager, 100, seal=True)
-        chunks = list(manager.stream_layer("ctx", 2))
+        chunks = stream(manager, [2])
         out = np.concatenate([c.data for c in chunks])
         assert np.array_equal(out, expected[2])
         # 64 device tokens + 36 host-tail tokens: the tail granule costs
@@ -96,15 +113,14 @@ class TestStreamLayer:
     def test_kv_kind_streams_double_width(self):
         manager = make_manager()
         expected = fill_context(manager, 70, kind="kv")
-        ring = manager.staging_ring("ctx", kind="kv")
-        out = np.concatenate([c.data for c in manager.stream_layer("ctx", 0, "kv", ring)])
+        out = np.concatenate([c.data for c in stream(manager, [0], "kv")])
         assert np.array_equal(out, expected[0])
         assert out.shape[1] == 32
 
     def test_stream_layers_orders_layers_back_to_back(self):
         manager = make_manager()
         fill_context(manager, 130)
-        seen = [(c.layer, c.start) for c in manager.stream_layers("ctx", [2, 0])]
+        seen = [(c.layer, c.start) for c in stream(manager, [2, 0])]
         assert seen == [(2, 0), (2, 64), (2, 128), (0, 0), (0, 64), (0, 128)]
 
     def test_dram_array_streams_identically(self):
@@ -115,7 +131,7 @@ class TestStreamLayer:
         for layer in range(3):
             for manager, expected in ((ssd, expected_ssd), (dram, expected_dram)):
                 out = np.zeros((150, 16), dtype=np.float32)
-                for c in manager.stream_layer("ctx", layer):
+                for c in stream(manager, [layer]):
                     out[c.start : c.stop] = c.data
                 assert np.array_equal(out, expected[layer])
 
@@ -126,43 +142,52 @@ class TestStreamLayer:
         manager.load_layer("ctx", 0)
         busy_load = [d.busy_seconds - b for d, b in zip(manager.array.devices, busy_before)]
         busy_mid = [d.busy_seconds for d in manager.array.devices]
-        list(manager.stream_layer("ctx", 0))
+        stream(manager, [0])
         busy_stream = [d.busy_seconds - b for d, b in zip(manager.array.devices, busy_mid)]
         assert busy_stream == pytest.approx(busy_load)
 
     def test_modelled_io_seconds_reported_per_granule(self):
         manager = make_manager()
         fill_context(manager, 256)
-        chunks = list(manager.stream_layer("ctx", 0))
+        chunks = stream(manager, [0])
         assert all(c.io_seconds > 0 for c in chunks)
 
     def test_ring_width_mismatch_rejected(self):
         manager = make_manager()
         fill_context(manager, 64)
+        spec = manager.granule_plan("ctx", [0])[0]
         bad = StagingRing(2, 64, 7)
         with pytest.raises(ConfigError):
-            list(manager.stream_layer("ctx", 0, ring=bad))
+            manager.read_granule_into("ctx", spec, bad.acquire())
 
     def test_unaligned_granule_rejected(self):
         manager = make_manager()
-        fill_context(manager, 64)
-        bad = StagingRing(2, 63, 16)
+        fill_context(manager, 128)
+        bad = GranuleSpec(layer=0, kind="hidden", start=63, stop=126)
         with pytest.raises(ConfigError):
-            list(manager.stream_layer("ctx", 0, ring=bad))
+            manager.read_granule_into("ctx", bad, np.empty((63, 16), np.float32))
+        with pytest.raises(ConfigError):
+            manager.granule_plan("ctx", [0], start_tokens=63)
 
     def test_view_valid_for_depth_minus_one_lookahead(self):
+        """The inline drain's 2-deep ring: a granule's slot survives the
+        next granule's read and is recycled by the one after."""
         manager = make_manager()
         expected = fill_context(manager, 192)
-        stream = manager.stream_layer("ctx", 0)
-        pending = next(stream)
-        snapshot = pending.data.copy()
-        upcoming = next(stream)  # double buffer: one lookahead is safe
-        assert np.array_equal(pending.data, snapshot)
-        next(stream)  # second lookahead recycles pending's slot
-        assert upcoming is not None
-        assert np.array_equal(
-            np.asarray(pending.data), expected[0][128:192]
-        )  # slot now holds granule 2's rows
+        seen = []
+
+        def consume(chunk):
+            if len(seen) == 1:  # double buffer: one lookahead is safe
+                assert np.array_equal(seen[0][0].data, seen[0][1])
+            elif len(seen) == 2:  # second lookahead recycles granule 0's slot
+                assert np.array_equal(seen[0][0].data, expected[0][128:192])
+            seen.append((chunk, chunk.data.copy()))
+
+        drain(
+            manager, "ctx", [manager.granule_plan("ctx", [0])], 1, consume,
+            InlinePool(), 1,
+        )
+        assert [c.start for c, _ in seen] == [0, 64, 128]
 
 
 class TestPipelinedMakespan:
